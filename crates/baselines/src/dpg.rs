@@ -12,7 +12,7 @@ use nsg_core::context::SearchContext;
 use nsg_core::graph::CompactGraph;
 use nsg_core::index::{AnnIndex, SearchRequest};
 use nsg_core::neighbor::Neighbor;
-use nsg_core::search::search_from_context_entries;
+use nsg_core::search::{search_on_graph_into, Seeds};
 use nsg_knn::{build_nn_descent, KnnGraph, NnDescentParams};
 use nsg_vectors::distance::Distance;
 use nsg_vectors::sample::query_salt;
@@ -157,7 +157,16 @@ impl<D: Distance + Sync> AnnIndex for DpgIndex<D> {
             self.params.seed,
             query_salt(query) ^ params.pool_size as u64,
         );
-        search_from_context_entries(&self.graph, &self.base, query, params, &self.metric, ctx)
+        search_on_graph_into(
+            &self.graph,
+            &self.base,
+            query,
+            Seeds::ContextEntries,
+            params,
+            &self.metric,
+            ctx,
+            None,
+        )
     }
 
     fn memory_bytes(&self) -> usize {

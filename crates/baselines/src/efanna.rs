@@ -11,7 +11,7 @@ use nsg_core::context::SearchContext;
 use nsg_core::graph::CompactGraph;
 use nsg_core::index::{AnnIndex, SearchRequest};
 use nsg_core::neighbor::Neighbor;
-use nsg_core::search::search_from_context_entries;
+use nsg_core::search::{search_on_graph_into, Seeds};
 use nsg_knn::{build_nn_descent, KnnGraph, NnDescentParams};
 use nsg_vectors::distance::Distance;
 use nsg_vectors::VectorSet;
@@ -93,7 +93,16 @@ impl<D: Distance + Sync + Clone> AnnIndex for EfannaIndex<D> {
             entries.push(0);
         }
         ctx.entries = entries;
-        search_from_context_entries(&self.graph, &self.base, query, request.params(), &self.metric, ctx)
+        search_on_graph_into(
+            &self.graph,
+            &self.base,
+            query,
+            Seeds::ContextEntries,
+            request.params(),
+            &self.metric,
+            ctx,
+            None,
+        )
     }
 
     fn memory_bytes(&self) -> usize {

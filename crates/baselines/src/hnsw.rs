@@ -22,8 +22,8 @@ use nsg_core::context::SearchContext;
 use nsg_core::graph::{CompactGraph, GraphView};
 use nsg_core::index::{AnnIndex, SearchRequest};
 use nsg_core::mrng::mrng_select;
-use nsg_core::neighbor::{CandidatePool, Neighbor};
-use nsg_core::search::{exact_rerank, SearchStats, VisitedSet};
+use nsg_core::neighbor::Neighbor;
+use nsg_core::search::{exact_rerank, search_on_graph_into, SearchStats, Seeds};
 use nsg_vectors::distance::Distance;
 use nsg_vectors::quant::Sq8VectorSet;
 use nsg_vectors::store::{QueryScratch, VectorStore};
@@ -116,56 +116,54 @@ impl<D: Distance + Sync> HnswIndex<D> {
         let m = params.m.max(2);
         let level_factor = 1.0 / (m as f64).ln();
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut layers: Vec<Vec<Vec<u32>>> = Vec::with_capacity(n);
-        let mut entry_point = 0u32;
-        let mut max_level = 0usize;
-
         let mut index = Self {
             store: Arc::clone(&base),
             base: Arc::clone(&base),
             metric,
-            layers: Vec::new(),
+            layers: Vec::with_capacity(n),
             node_levels: Vec::new(),
             frozen: Vec::new(),
             entry_point: 0,
             max_level: 0,
             params: HnswParams { m, ..params },
         };
+        // Every layer search keeps its whole `ef`-sized pool as candidates.
+        let ef = params.ef_construction.max(m);
+        let layer_params = SearchRequest::new(ef).with_effort(ef).params();
+        let mut ctx = SearchContext::for_points(n);
+        // Build-time descent cost is not reported anywhere.
+        let mut descent = SearchStats::default();
 
         for v in 0..n as u32 {
             // Geometric level assignment.
             let draw: f64 = rng.random::<f64>();
             let level = ((-draw.ln()) * level_factor).floor() as usize;
-            layers.push(vec![Vec::new(); level + 1]);
-            index.layers = std::mem::take(&mut layers);
-
+            index.layers.push(vec![Vec::new(); level + 1]);
             if v == 0 {
-                entry_point = 0;
-                max_level = level;
-                index.entry_point = entry_point;
-                index.max_level = max_level;
-                layers = std::mem::take(&mut index.layers);
+                index.max_level = level;
                 continue;
             }
-            index.entry_point = entry_point;
-            index.max_level = max_level;
 
             let query = base.get(v as usize);
-            let mut ep = entry_point;
             // Greedy descent through layers above the new node's level.
-            let mut lc = max_level;
-            while lc > level {
-                ep = index.greedy_closest(&index.layer_view(lc), query, ep);
-                if lc == 0 {
-                    break;
-                }
-                lc -= 1;
+            index.store.prepare_query(&index.metric, query, &mut ctx.query_scratch);
+            let mut ep = index.entry_point;
+            for lc in (level + 1..=index.max_level).rev() {
+                ep = index.descend(&index.layer_view(lc), &ctx.query_scratch, ep, &mut descent);
             }
             // Insert at each layer from min(level, max_level) down to 0.
-            let top = level.min(max_level);
-            for layer in (0..=top).rev() {
-                let candidates = index.search_layer(query, &[ep], params.ef_construction.max(m), layer);
-                let selected = index.select_neighbors(query, &candidates, m);
+            for layer in (0..=level.min(index.max_level)).rev() {
+                let candidates = search_on_graph_into(
+                    &index.layer_view(layer),
+                    index.store.as_ref(),
+                    query,
+                    Seeds::Nodes(&[ep]),
+                    layer_params,
+                    &index.metric,
+                    &mut ctx,
+                    None,
+                );
+                let selected = index.select_neighbors(query, candidates, m);
                 for &u in &selected {
                     index.link(v, u, layer);
                     index.link(u, v, layer);
@@ -175,25 +173,20 @@ impl<D: Distance + Sync> HnswIndex<D> {
                     ep = best.id;
                 }
             }
-            if level > max_level {
-                max_level = level;
-                entry_point = v;
+            if level > index.max_level {
+                index.max_level = level;
+                index.entry_point = v;
             }
-            layers = std::mem::take(&mut index.layers);
         }
 
-        index.layers = layers;
-        index.entry_point = entry_point;
-        index.max_level = max_level;
         // Insertion is over: freeze every level into its CSR form for the
         // query path, straight through the build-time view (level l spans
         // all nodes; absent nodes have degree 0) — no intermediate adjacency
         // clone. Then drop the nested build scratch: keeping it would double
         // the index's resident adjacency for its whole lifetime.
-        let frozen: Vec<CompactGraph> = (0..=max_level)
-            .map(|level| CompactGraph::from_view(&LayerView { layers: &index.layers, level }))
+        index.frozen = (0..=index.max_level)
+            .map(|level| CompactGraph::from_view(&index.layer_view(level)))
             .collect();
-        index.frozen = frozen;
         index.node_levels = index.layers.iter().map(|levels| levels.len() as u32).collect();
         index.layers = Vec::new();
         index
@@ -257,15 +250,33 @@ impl<D: Distance + Sync> HnswIndex<D> {
         mrng_select(&self.base, query, &sorted, m, &self.metric)
     }
 
-    /// Pure greedy descent within one layer (used on the layers above the
-    /// target level), generic over the build-time or frozen adjacency.
-    fn greedy_closest<G: GraphView + ?Sized>(&self, graph: &G, query: &[f32], start: u32) -> u32 {
+    /// Build-time adjacency view of one level of the mutable hierarchy.
+    fn layer_view(&self, level: usize) -> LayerView<'_> {
+        LayerView { layers: &self.layers, level }
+    }
+}
+
+impl<D: Distance + Sync, S: VectorStore> HnswIndex<D, S> {
+    /// Pure greedy descent within one layer (the upper layers of both
+    /// insertion and query) against a query already prepared into `scratch`,
+    /// generic over the build-time or frozen adjacency. Counts one distance
+    /// per evaluated node and one hop per improving move into `stats`.
+    fn descend<G: GraphView + ?Sized>(
+        &self,
+        layer: &G,
+        scratch: &QueryScratch,
+        start: u32,
+        stats: &mut SearchStats,
+    ) -> u32 {
+        let store = self.store.as_ref();
         let mut current = start;
-        let mut current_dist = self.metric.distance(query, self.base.get(current as usize));
+        let mut current_dist = store.dist_to(&self.metric, scratch, current as usize);
+        stats.distance_computations += 1;
         loop {
             let mut improved = false;
-            for &u in graph.neighbors(current) {
-                let d = self.metric.distance(query, self.base.get(u as usize));
+            for &u in layer.neighbors(current) {
+                let d = store.dist_to(&self.metric, scratch, u as usize);
+                stats.distance_computations += 1;
                 if d < current_dist {
                     current_dist = d;
                     current = u;
@@ -275,73 +286,7 @@ impl<D: Distance + Sync> HnswIndex<D> {
             if !improved {
                 return current;
             }
-        }
-    }
-
-    /// Build-time adjacency view of one level of the mutable hierarchy.
-    fn layer_view(&self, level: usize) -> LayerView<'_> {
-        LayerView { layers: &self.layers, level }
-    }
-
-    /// Allocating convenience over [`search_layer_scratch`](Self::search_layer_scratch)
-    /// used during construction; returns the pool contents sorted ascending.
-    fn search_layer(&self, query: &[f32], entries: &[u32], ef: usize, layer: usize) -> Vec<Neighbor> {
-        let mut visited = VisitedSet::new(self.base.len());
-        let mut pool = CandidatePool::new(ef.max(1));
-        let mut stats = SearchStats::default();
-        let mut scratch = QueryScratch::new();
-        self.store.prepare_query(&self.metric, query, &mut scratch);
-        let view = self.layer_view(layer);
-        self.search_layer_scratch(&view, &scratch, entries, ef, &mut visited, &mut pool, &mut stats);
-        pool.top_k(pool.len())
-    }
-}
-
-impl<D: Distance + Sync, S: VectorStore> HnswIndex<D, S> {
-    /// Best-first search within one layer with an `ef`-sized pool against a
-    /// query already prepared into `scratch` (see
-    /// [`VectorStore::prepare_query`]), running entirely inside the caller's
-    /// buffers (zero allocation once warm).
-    #[allow(clippy::too_many_arguments)] // private plumbing shared by query and build paths
-    fn search_layer_scratch<G: GraphView + ?Sized>(
-        &self,
-        graph: &G,
-        scratch: &QueryScratch,
-        entries: &[u32],
-        ef: usize,
-        visited: &mut VisitedSet,
-        pool: &mut CandidatePool,
-        stats: &mut SearchStats,
-    ) {
-        let store = self.store.as_ref();
-        visited.ensure_capacity(store.len());
-        visited.next_epoch();
-        pool.reset(ef.max(1));
-        for &e in entries {
-            if (e as usize) < store.len() && visited.insert(e) {
-                pool.insert(e, store.dist_to(&self.metric, scratch, e as usize));
-                stats.distance_computations += 1;
-                stats.visited += 1;
-            }
-        }
-        while let Some(idx) = pool.first_unchecked() {
-            let current = pool.mark_checked(idx);
             stats.hops += 1;
-            // Same next-candidate vector prefetch as the shared Algorithm 1
-            // loop (plus a per-hop re-hint of the prepared-query lines):
-            // hide the gather latency of the per-hop reads.
-            for u in nsg_vectors::prefetch::lookahead_ids_with_query(
-                graph.neighbors(current),
-                store,
-                scratch.prepared(),
-            ) {
-                if !visited.insert(u) {
-                    continue;
-                }
-                pool.insert(u, store.dist_to(&self.metric, scratch, u as usize));
-                stats.distance_computations += 1;
-                stats.visited += 1;
-            }
         }
     }
 
@@ -365,7 +310,6 @@ impl<D: Distance + Sync, S: VectorStore> HnswIndex<D, S> {
     pub fn num_layers(&self) -> usize {
         self.max_level + 1
     }
-
 }
 
 impl<D: Distance + Sync, S: VectorStore> AnnIndex for HnswIndex<D, S> {
@@ -381,50 +325,32 @@ impl<D: Distance + Sync, S: VectorStore> AnnIndex for HnswIndex<D, S> {
     ) -> &'a [Neighbor] {
         ctx.results.clear();
         ctx.stats = SearchStats::default();
-        if self.base.is_empty() || request.k == 0 {
+        if self.base.is_empty() || request.k == 0 || query.len() != self.base.dim() {
             return &ctx.results;
         }
-        // One query preparation serves the whole descent and the bottom
-        // layer (for SQ8 this is where the expanded query form is built).
-        let store = self.store.as_ref();
-        store.prepare_query(&self.metric, query, &mut ctx.query_scratch);
-        // Greedy descent through the upper layers (one distance per examined
-        // neighbor, counted into the stats), on the frozen CSR levels.
+        // Greedy descent through the upper frozen CSR levels. The shared
+        // Algorithm 1 loop below resets `ctx.stats`, so the descent counts
+        // into its own stats and is added back afterwards.
+        self.store.prepare_query(&self.metric, query, &mut ctx.query_scratch);
+        let mut descent = SearchStats::default();
         let mut ep = self.entry_point;
-        let mut lc = self.max_level;
-        while lc > 0 {
-            let layer = &self.frozen[lc];
-            let mut current = ep;
-            let mut current_dist = store.dist_to(&self.metric, &ctx.query_scratch, current as usize);
-            ctx.stats.distance_computations += 1;
-            loop {
-                let mut improved = false;
-                for &u in layer.neighbors(current) {
-                    let d = store.dist_to(&self.metric, &ctx.query_scratch, u as usize);
-                    ctx.stats.distance_computations += 1;
-                    if d < current_dist {
-                        current_dist = d;
-                        current = u;
-                        improved = true;
-                    }
-                }
-                if !improved {
-                    break;
-                }
-                ctx.stats.hops += 1;
-            }
-            ep = current;
-            lc -= 1;
+        for layer in self.frozen[1..].iter().rev() {
+            ep = self.descend(layer, &ctx.query_scratch, ep, &mut descent);
         }
-        // Bottom-layer `ef` search inside the context scratch, on the frozen
-        // level-0 CSR; a two-phase request keeps `r · k` candidates for the
-        // exact-rerank pass over the retained rows.
-        let keep = request.rerank_candidates();
-        let ef = request.quality.effort.max(keep).max(1);
-        let (scratch, visited, pool, stats) =
-            (&ctx.query_scratch, &mut ctx.visited, &mut ctx.pool, &mut ctx.stats);
-        self.search_layer_scratch(&self.frozen[0], scratch, &[ep], ef, visited, pool, stats);
-        ctx.pool.top_k_into(keep, &mut ctx.results);
+        // Bottom-layer `ef` search on the frozen level-0 CSR; a two-phase
+        // request keeps `r · k` candidates for the exact-rerank pass over
+        // the retained rows.
+        search_on_graph_into(
+            &self.frozen[0],
+            self.store.as_ref(),
+            query,
+            Seeds::Nodes(&[ep]),
+            request.traversal_params(),
+            &self.metric,
+            ctx,
+            None,
+        );
+        ctx.stats.accumulate(descent);
         if request.rerank_factor() > 1 {
             exact_rerank(ctx, &self.base, &self.metric, query, request.k);
         }

@@ -10,7 +10,7 @@ use nsg_core::context::SearchContext;
 use nsg_core::graph::CompactGraph;
 use nsg_core::index::{AnnIndex, SearchRequest};
 use nsg_core::neighbor::Neighbor;
-use nsg_core::search::{exact_rerank, search_from_context_entries};
+use nsg_core::search::{exact_rerank, search_on_graph_into, Seeds};
 use nsg_knn::{build_nn_descent, KnnGraph, NnDescentParams};
 use nsg_vectors::distance::Distance;
 use nsg_vectors::quant::Sq8VectorSet;
@@ -122,7 +122,16 @@ impl<D: Distance + Sync, S: VectorStore> AnnIndex for KGraphIndex<D, S> {
             self.params.seed,
             query_salt(query) ^ params.pool_size as u64,
         );
-        search_from_context_entries(&self.graph, self.store.as_ref(), query, params, &self.metric, ctx);
+        search_on_graph_into(
+            &self.graph,
+            self.store.as_ref(),
+            query,
+            Seeds::ContextEntries,
+            params,
+            &self.metric,
+            ctx,
+            None,
+        );
         if request.rerank_factor() > 1 {
             exact_rerank(ctx, &self.base, &self.metric, query, request.k);
         }

@@ -11,7 +11,7 @@ use nsg_core::context::SearchContext;
 use nsg_core::graph::{CompactGraph, DirectedGraph};
 use nsg_core::index::{AnnIndex, SearchRequest};
 use nsg_core::neighbor::Neighbor;
-use nsg_core::search::{search_from_context_entries, search_on_graph, SearchParams};
+use nsg_core::search::{search_on_graph_into, SearchParams, Seeds};
 use nsg_vectors::distance::Distance;
 use nsg_vectors::sample::query_salt;
 use nsg_vectors::VectorSet;
@@ -68,6 +68,7 @@ impl<D: Distance + Sync> NswIndex<D> {
         order.shuffle(&mut rng);
 
         let mut inserted: Vec<u32> = Vec::with_capacity(n);
+        let mut ctx = SearchContext::for_points(n);
         for &v in &order {
             if inserted.is_empty() {
                 inserted.push(v);
@@ -77,15 +78,17 @@ impl<D: Distance + Sync> NswIndex<D> {
             // points; the graph only contains inserted nodes, so restricting
             // the start node to one of them keeps the search inside them.
             let start = inserted[rng.random_range(0..inserted.len())];
-            let result = search_on_graph(
+            let answer = search_on_graph_into(
                 &graph,
                 &base,
                 base.get(v as usize),
-                &[start],
+                Seeds::Nodes(&[start]),
                 SearchParams::new(params.ef_construction.max(params.m), params.m.max(1)), // lint:allow(params-construction): NSW insertion search, effort fixed by ef_construction
                 &metric,
+                &mut ctx,
+                None,
             );
-            for nb in result.neighbors.iter().take(params.m.max(1)) {
+            for nb in answer.iter().take(params.m.max(1)) {
                 graph.add_edge(v, nb.id);
                 graph.add_edge(nb.id, v);
             }
@@ -119,7 +122,16 @@ impl<D: Distance + Sync> AnnIndex for NswIndex<D> {
             self.params.seed ^ 0xABCD,
             query_salt(query) ^ params.pool_size as u64,
         );
-        search_from_context_entries(&self.graph, &self.base, query, params, &self.metric, ctx)
+        search_on_graph_into(
+            &self.graph,
+            &self.base,
+            query,
+            Seeds::ContextEntries,
+            params,
+            &self.metric,
+            ctx,
+            None,
+        )
     }
 
     fn memory_bytes(&self) -> usize {

@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nsg_bench::common::output_dir;
 use nsg_core::context::SearchContext;
 use nsg_core::nsg::{NsgIndex, NsgParams};
-use nsg_core::search::{search_on_graph_into, SearchParams};
+use nsg_core::search::{search_on_graph_into, SearchParams, Seeds};
 use nsg_knn::NnDescentParams;
 use nsg_vectors::distance::SquaredEuclidean;
 use nsg_vectors::synthetic::{base_and_queries, SyntheticKind};
@@ -49,10 +49,11 @@ fn bench_layouts(c: &mut Criterion) {
                         &nested,
                         &base,
                         queries.get(qi),
-                        &[nav],
+                        Seeds::Nodes(&[nav]),
                         SearchParams::new(pool, 10),
                         &SquaredEuclidean,
                         &mut ctx,
+                        None,
                     )
                     .len(),
                 )
@@ -68,10 +69,11 @@ fn bench_layouts(c: &mut Criterion) {
                         frozen,
                         &base,
                         queries.get(qi),
-                        &[nav],
+                        Seeds::Nodes(&[nav]),
                         SearchParams::new(pool, 10),
                         &SquaredEuclidean,
                         &mut ctx,
+                        None,
                     )
                     .len(),
                 )
@@ -100,10 +102,11 @@ fn bench_layouts(c: &mut Criterion) {
                     frozen,
                     &base,
                     queries.get(qi),
-                    &[nav],
+                    Seeds::Nodes(&[nav]),
                     params,
                     &SquaredEuclidean,
                     &mut ctx,
+                    None,
                 )
                 .len()
             } else {
@@ -111,10 +114,11 @@ fn bench_layouts(c: &mut Criterion) {
                     &nested,
                     &base,
                     queries.get(qi),
-                    &[nav],
+                    Seeds::Nodes(&[nav]),
                     params,
                     &SquaredEuclidean,
                     &mut ctx,
+                    None,
                 )
                 .len()
             };

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use nsg_core::context::SearchContext;
 use nsg_core::nsg::{NsgIndex, NsgParams};
-use nsg_core::search::{search_on_graph_into, SearchParams};
+use nsg_core::search::{search_on_graph_into, SearchParams, Seeds};
 use nsg_knn::NnDescentParams;
 use nsg_vectors::distance::SquaredEuclidean;
 use nsg_vectors::synthetic::{base_and_queries, SyntheticKind};
@@ -39,10 +39,11 @@ fn bench_entry(c: &mut Criterion) {
                 nsg.graph(),
                 &base,
                 queries.get(qi),
-                &[nsg.navigating_node()],
+                Seeds::Nodes(&[nsg.navigating_node()]),
                 params,
                 &SquaredEuclidean,
                 &mut ctx,
+                None,
             )
             .len())
         })
@@ -56,10 +57,11 @@ fn bench_entry(c: &mut Criterion) {
                 nsg.graph(),
                 &base,
                 queries.get(qi),
-                &random_entries,
+                Seeds::Nodes(&random_entries),
                 params,
                 &SquaredEuclidean,
                 &mut ctx,
+                None,
             )
             .len())
         })

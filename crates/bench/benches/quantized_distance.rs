@@ -17,7 +17,7 @@ use nsg_bench::common::output_dir;
 use nsg_core::context::SearchContext;
 use nsg_core::index::{AnnIndex, SearchRequest};
 use nsg_core::nsg::{NsgIndex, NsgParams};
-use nsg_core::search::{search_on_graph_into, SearchParams};
+use nsg_core::search::{search_on_graph_into, SearchParams, Seeds};
 use nsg_knn::NnDescentParams;
 use nsg_vectors::distance::{squared_l2, SquaredEuclidean};
 use nsg_vectors::quant::{sq8_asym_l2, Sq8VectorSet};
@@ -182,10 +182,11 @@ fn bench_traversal(c: &mut Criterion) {
                         &graph,
                         base.as_ref(),
                         queries.get(qi),
-                        &[nav],
+                        Seeds::Nodes(&[nav]),
                         SearchParams::new(pool, 10),
                         &SquaredEuclidean,
                         &mut ctx,
+                        None,
                     )
                     .len(),
                 )
@@ -201,10 +202,11 @@ fn bench_traversal(c: &mut Criterion) {
                         &graph,
                         store.as_ref(),
                         queries.get(qi),
-                        &[nav],
+                        Seeds::Nodes(&[nav]),
                         SearchParams::new(pool, 10),
                         &SquaredEuclidean,
                         &mut ctx,
+                        None,
                     )
                     .len(),
                 )
@@ -240,10 +242,11 @@ fn bench_traversal(c: &mut Criterion) {
                 &graph,
                 base.as_ref(),
                 queries.get(qi),
-                &[nav],
+                Seeds::Nodes(&[nav]),
                 SearchParams::new(100, 10),
                 &SquaredEuclidean,
                 &mut ctx,
+                None,
             )
             .len(),
         );
@@ -255,10 +258,11 @@ fn bench_traversal(c: &mut Criterion) {
                 &graph,
                 store.as_ref(),
                 queries.get(qi),
-                &[nav],
+                Seeds::Nodes(&[nav]),
                 SearchParams::new(100, 10),
                 &SquaredEuclidean,
                 &mut ctx,
+                None,
             )
             .len(),
         );

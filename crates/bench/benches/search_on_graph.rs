@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nsg_core::context::SearchContext;
 use nsg_core::graph::DirectedGraph;
 use nsg_core::nsg::{NsgIndex, NsgParams};
-use nsg_core::search::{search_on_graph_into, SearchParams};
+use nsg_core::search::{search_on_graph_into, SearchParams, Seeds};
 use nsg_knn::{build_nn_descent, NnDescentParams};
 use nsg_vectors::distance::SquaredEuclidean;
 use nsg_vectors::synthetic::{base_and_queries, SyntheticKind};
@@ -42,10 +42,11 @@ fn bench_search(c: &mut Criterion) {
                     nsg.graph(),
                     &base,
                     queries.get(qi),
-                    &[nsg.navigating_node()],
+                    Seeds::Nodes(&[nsg.navigating_node()]),
                     SearchParams::new(pool, 10),
                     &SquaredEuclidean,
                     &mut ctx,
+                    None,
                 )
                 .len())
             })
@@ -59,10 +60,11 @@ fn bench_search(c: &mut Criterion) {
                     &knn_graph,
                     &base,
                     queries.get(qi),
-                    &[nsg.navigating_node()],
+                    Seeds::Nodes(&[nsg.navigating_node()]),
                     SearchParams::new(pool, 10),
                     &SquaredEuclidean,
                     &mut ctx,
+                    None,
                 )
                 .len())
             })

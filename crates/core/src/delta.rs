@@ -42,9 +42,7 @@ use crate::graph::DirectedGraph;
 use crate::index::{AnnIndex, SearchRequest};
 use crate::neighbor::Neighbor;
 use crate::nsg::{NsgIndex, NsgParams};
-use crate::search::{
-    search_from_context_entries, search_on_graph_into, SearchParams, SearchStats,
-};
+use crate::search::{search_on_graph_into, SearchParams, SearchStats, Seeds};
 use nsg_obs::TraceStage;
 use nsg_vectors::distance::Distance;
 use nsg_vectors::quant::Sq8VectorSet;
@@ -345,10 +343,11 @@ impl<D: Distance + Clone + Sync, S: VectorStore> MutableIndex<D, S> {
                 self.base.graph(),
                 self.base.store().as_ref(),
                 vector,
-                &[self.base.navigating_node()],
+                Seeds::Nodes(&[self.base.navigating_node()]),
                 params,
                 &self.metric,
                 &mut st.writer,
+                None,
             );
             let scored = &mut st.writer.scored;
             scored.extend_from_slice(&st.writer.results);
@@ -371,7 +370,16 @@ impl<D: Distance + Clone + Sync, S: VectorStore> MutableIndex<D, S> {
                     st.writer.entries.extend_from_slice(anchored);
                 }
             }
-            search_from_context_entries(&st.links, &st.rows, vector, params, &self.metric, &mut st.writer);
+            search_on_graph_into(
+                &st.links,
+                &st.rows,
+                vector,
+                Seeds::ContextEntries,
+                params,
+                &self.metric,
+                &mut st.writer,
+                None,
+            );
         } else {
             st.writer.results.clear();
         }
@@ -502,10 +510,11 @@ impl<D: Distance + Clone + Sync, S: VectorStore> MutableIndex<D, S> {
                 self.base.graph(),
                 self.base.store().as_ref(),
                 query,
-                &[self.base.navigating_node()],
+                Seeds::Nodes(&[self.base.navigating_node()]),
                 params,
                 &self.metric,
                 ctx,
+                None,
             );
         } else {
             ctx.results.clear();
@@ -527,7 +536,16 @@ impl<D: Distance + Clone + Sync, S: VectorStore> MutableIndex<D, S> {
                 }
             }
             ctx.tracer.set_traversal_stage(TraceStage::DeltaTraversal);
-            search_from_context_entries(&st.links, &st.rows, query, params, &self.metric, ctx);
+            search_on_graph_into(
+                &st.links,
+                &st.rows,
+                query,
+                Seeds::ContextEntries,
+                params,
+                &self.metric,
+                ctx,
+                None,
+            );
             ctx.tracer.set_traversal_stage(TraceStage::BaseTraversal);
             ctx.stats.accumulate(base_stats);
             let merge_timer = ctx.tracer.begin();

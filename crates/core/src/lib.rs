@@ -31,8 +31,6 @@ pub use index::{AnnIndex, SearchQuality, SearchRequest};
 pub use mrng::{build_mrng, build_rng_graph, MrngParams};
 pub use neighbor::{CandidatePool, Neighbor};
 pub use nsg::{NsgIndex, NsgParams};
-pub use search::{
-    search_on_graph, search_on_graph_into, SearchParams, SearchResult, SearchStats, VisitedSet,
-};
+pub use search::{search_on_graph_into, SearchParams, SearchResult, SearchStats, Seeds, VisitedSet};
 pub use sharded::ShardedNsg;
 pub use snapshot::{write_snapshot, write_quantized_snapshot, Snapshot};

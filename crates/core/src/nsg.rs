@@ -23,7 +23,7 @@ use crate::graph::{CompactGraph, DirectedGraph};
 use crate::index::{AnnIndex, SearchRequest};
 use crate::mrng::mrng_select;
 use crate::neighbor::Neighbor;
-use crate::search::{exact_rerank, search_collect, search_on_graph, search_on_graph_into, SearchParams};
+use crate::search::{exact_rerank, search_on_graph_into, SearchParams, Seeds};
 use nsg_knn::{build_nn_descent, KnnGraph, NnDescentParams};
 use nsg_obs::TraceStage;
 use nsg_vectors::distance::Distance;
@@ -158,8 +158,19 @@ impl<D: Distance + Sync> NsgIndex<D> {
         let mut rng = StdRng::seed_from_u64(params.seed);
         let random_start = rng.random_range(0..n as u32);
         let nav_params = SearchParams::new(params.build_pool_size, 1); // lint:allow(params-construction): build-time medoid search, not a user query
-        let nav_result = search_on_graph(&knn_graph, &base, &centroid, &[random_start], nav_params, &metric);
-        let navigating_node = nav_result.neighbors.first().map(|nb| nb.id).unwrap_or(random_start);
+        let mut nav_ctx = SearchContext::for_points(n);
+        let navigating_node = search_on_graph_into(
+            &knn_graph,
+            &base,
+            &centroid,
+            Seeds::Nodes(&[random_start]),
+            nav_params,
+            &metric,
+            &mut nav_ctx,
+            None,
+        )
+        .first()
+        .map_or(random_start, |nb| nb.id);
         publish_phase_nanos("nsg_build_medoid_nanos", phase_started);
 
         // Step iii: search-collect-select for every node, in parallel. The
@@ -176,14 +187,16 @@ impl<D: Distance + Sync> NsgIndex<D> {
                 || SearchContext::for_points(n),
                 |ctx, v| {
                     let query = base.get(v);
-                    let (_, mut candidates) = search_collect(
+                    let mut candidates = Vec::with_capacity(collect_params.pool_size * 4);
+                    search_on_graph_into(
                         &knn_graph,
                         &base,
                         query,
-                        &[navigating_node],
+                        Seeds::Nodes(&[navigating_node]),
                         collect_params,
                         &metric,
                         ctx,
+                        Some(&mut candidates),
                     );
                     // Add v's kNN neighbors (they carry the approximate NNG,
                     // which is essential for monotonicity — Figure 4).
@@ -321,6 +334,7 @@ impl<D: Distance + Sync> NsgIndex<D> {
         Self::dfs_mark(graph, navigating_node, &mut reachable);
         let repair_params = SearchParams::new(pool_size.max(8), pool_size.max(8)); // lint:allow(params-construction): connectivity-repair search during build
         let mut ctx = SearchContext::for_points(n);
+        let mut collected = Vec::new();
         for v in 0..n as u32 {
             if reachable[v as usize] {
                 continue;
@@ -328,17 +342,18 @@ impl<D: Distance + Sync> NsgIndex<D> {
             // Find the closest reachable node to v by searching the current
             // graph from the navigating node (Algorithm 1 only walks reachable
             // nodes, so everything it visits is in the tree).
-            let (result, collected) = search_collect(
+            collected.clear();
+            let answer = search_on_graph_into(
                 graph,
                 base,
                 base.get(v as usize),
-                &[navigating_node],
+                Seeds::Nodes(&[navigating_node]),
                 repair_params,
                 metric,
                 &mut ctx,
+                Some(&mut collected),
             );
-            let attach = result
-                .neighbors
+            let attach = answer
                 .iter()
                 .map(|nb| nb.id)
                 .chain(collected.iter().map(|nb| nb.id))
@@ -450,10 +465,11 @@ impl<D: Distance + Sync, S: VectorStore> AnnIndex for NsgIndex<D, S> {
             &self.graph,
             self.store.as_ref(),
             query,
-            &[self.navigating_node],
+            Seeds::Nodes(&[self.navigating_node]),
             request.traversal_params(),
             &self.metric,
             ctx,
+            None,
         );
         if request.rerank_factor() > 1 {
             let rerank_timer = ctx.tracer.begin();
@@ -572,6 +588,26 @@ mod tests {
             }
         }
         assert!(hits >= 13, "only {hits}/15 self-queries found");
+    }
+
+    #[test]
+    fn wrong_dimension_query_returns_no_neighbors() {
+        // A query 4x the index dimension must never reach a distance kernel
+        // (it used to read past the stored rows); it is answered with no
+        // neighbors and zero stats, flat and quantized, with and without
+        // rerank.
+        let base = Arc::new(uniform(300, 8, 23));
+        let index = NsgIndex::build(Arc::clone(&base), SquaredEuclidean, small_params());
+        let query = vec![0.5f32; 4 * base.dim()];
+        let request = SearchRequest::new(5).with_effort(40);
+        let mut ctx = index.new_context();
+        assert!(index.search_into(&mut ctx, &request, &query).is_empty());
+        assert_eq!(ctx.stats(), crate::search::SearchStats::default());
+        assert!(index.search_into(&mut ctx, &request.with_rerank(3), &query).is_empty());
+        // The same context answers a well-formed query afterwards.
+        assert_eq!(index.search_into(&mut ctx, &request, base.get(7))[0].id, 7);
+        let quantized = index.quantize_sq8();
+        assert!(quantized.search(&query, &request.with_rerank(3)).is_empty());
     }
 
     #[test]

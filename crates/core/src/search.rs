@@ -7,17 +7,13 @@
 //! checked. Every graph method in the paper (GNNS, KGraph, Efanna, NSW, HNSW
 //! layers, FANNG, DPG, NSG) uses this same routine; only the graph differs.
 //!
-//! Three variants are provided:
-//! * [`search_on_graph_into`] — the hot-path form: runs Algorithm 1 entirely
-//!   inside a reusable [`SearchContext`](crate::context::SearchContext) (zero
-//!   heap allocation after warm-up) and returns the top-k as a borrowed
-//!   [`Neighbor`] slice,
-//! * [`search_on_graph`] — allocating convenience over the same loop,
-//!   returning an owned [`SearchResult`],
-//! * [`search_collect`] — the "search-and-collect" routine of Algorithm 2
-//!   step iii, which additionally records every node whose distance to the
-//!   query was evaluated; those visited nodes become the candidate set for
-//!   MRNG-style edge selection during NSG construction.
+//! [`search_on_graph_into`] is the one entry point for every graph method,
+//! at query time and at build time alike. It runs inside a reusable
+//! [`SearchContext`] (zero heap allocation after warm-up) and returns the
+//! top-k as a borrowed [`Neighbor`] slice. Its seeds are either an explicit
+//! node list or the context's entry buffer ([`Seeds`]), and an optional
+//! collect buffer turns it into the "search-and-collect" routine of
+//! Algorithm 2 step iii.
 
 use crate::context::SearchContext;
 use crate::graph::GraphView;
@@ -86,13 +82,6 @@ pub struct SearchResult {
     pub neighbors: Vec<Neighbor>,
     /// Search instrumentation.
     pub stats: SearchStats,
-}
-
-impl SearchResult {
-    /// The bare neighbor ids, best first.
-    pub fn ids(&self) -> Vec<u32> {
-        crate::neighbor::ids(&self.neighbors)
-    }
 }
 
 /// A reusable visited-set bitmap so repeated searches do not reallocate.
@@ -165,8 +154,33 @@ impl VisitedSet {
     }
 }
 
-/// The Algorithm 1 main loop, running entirely inside `ctx`'s buffers.
-/// Optionally records every evaluated `(node, distance)` pair into `collect`.
+/// Where Algorithm 1 takes its seed nodes from.
+#[derive(Debug, Clone, Copy)]
+pub enum Seeds<'s> {
+    /// An explicit list of start nodes: usually one (the NSG navigating node,
+    /// an HNSW layer entry), sometimes many (Efanna's KD-tree leaves).
+    Nodes(&'s [u32]),
+    /// The entry points already placed in [`SearchContext::entries`] (e.g. by
+    /// [`SearchContext::fill_random_entries`]); the buffer is left intact for
+    /// the next query, so random-entry methods allocate nothing per query.
+    ContextEntries,
+}
+
+/// Algorithm 1: greedy best-first search on `graph` from `seeds`, running
+/// entirely inside `ctx`'s buffers. The answer (top `params.k`, ascending)
+/// and the stats are left in `ctx`; the answer is also returned as a
+/// borrowed slice. After the first call warms `ctx`, this performs **zero
+/// heap allocation** per query (the `alloc_guard` integration test enforces
+/// it).
+///
+/// `collect`, when given, receives every `(node, distance)` pair whose
+/// distance was evaluated — the "search-and-collect" routine of Algorithm 2
+/// step iii, whose visited nodes become the candidate set for MRNG-style
+/// edge selection.
+///
+/// A query whose length differs from `store.dim()` is answered with no
+/// neighbors and zero stats, so no graph index ever hands a wrong-length
+/// query to a distance kernel.
 ///
 /// Generic over [`GraphView`] (query paths hand in the frozen
 /// [`CompactGraph`](crate::graph::CompactGraph) with contiguous CSR neighbor
@@ -176,23 +190,34 @@ impl VisitedSet {
 /// to the exact `metric.distance` loop it always was, the SQ8 store to the
 /// asymmetric quantized kernel — the query is prepared into
 /// `ctx.query_scratch` once, then every candidate pays one `dist_to`.
-#[allow(clippy::too_many_arguments)] // private plumbing shared by the public search variants
+#[allow(clippy::too_many_arguments)] // Algorithm 1's inputs plus the context and collect buffers
 // lint:hot-path
-fn run_search<G: GraphView + ?Sized, S: VectorStore + ?Sized, D: Distance + ?Sized>(
+pub fn search_on_graph_into<'a, G: GraphView + ?Sized, S: VectorStore + ?Sized, D: Distance + ?Sized>(
     graph: &G,
     store: &S,
     query: &[f32],
-    start_nodes: &[u32],
+    seeds: Seeds<'_>,
     params: SearchParams,
     metric: &D,
-    ctx: &mut SearchContext,
+    ctx: &'a mut SearchContext,
     mut collect: Option<&mut Vec<Neighbor>>,
-) {
+) -> &'a [Neighbor] {
+    ctx.results.clear();
+    ctx.stats = SearchStats::default();
+    if query.len() != store.dim() {
+        return &ctx.results;
+    }
     ctx.visited.ensure_capacity(store.len());
     ctx.visited.next_epoch();
     ctx.pool.reset(params.pool_size);
-    ctx.stats = SearchStats::default();
     store.prepare_query(metric, query, &mut ctx.query_scratch);
+    // Moved out for the duration of the search (and back at the end) so the
+    // seeds can borrow it while the loop mutates the rest of `ctx`.
+    let entries = std::mem::take(&mut ctx.entries);
+    let start_nodes = match seeds {
+        Seeds::Nodes(nodes) => nodes,
+        Seeds::ContextEntries => entries.as_slice(),
+    };
 
     // Stage timers are `None` (no clock read, no store) unless the context's
     // tracer was armed for this query by the index entry point.
@@ -210,6 +235,7 @@ fn run_search<G: GraphView + ?Sized, S: VectorStore + ?Sized, D: Distance + ?Siz
             ctx.pool.insert(s, d);
         }
     }
+    ctx.entries = entries;
     let seed_distances = ctx.stats.distance_computations;
     ctx.tracer.finish(TraceStage::EntrySeeding, seed_timer, seed_distances);
 
@@ -245,8 +271,8 @@ fn run_search<G: GraphView + ?Sized, S: VectorStore + ?Sized, D: Distance + ?Siz
     ctx.tracer
         .finish_traversal(traversal_timer, ctx.stats.distance_computations - seed_distances);
 
-    ctx.results.clear();
     ctx.pool.top_k_into(params.k, &mut ctx.results);
+    &ctx.results
 }
 
 /// The second phase of a two-phase (quantized-traverse → exact-rerank)
@@ -282,94 +308,11 @@ pub fn exact_rerank<D: Distance + ?Sized>(
     ctx.results.truncate(k);
 }
 
-/// Algorithm 1 on the context-reuse fast path: greedy best-first search on
-/// `graph` starting from `start_nodes`, writing the answer and stats into
-/// `ctx` and returning the top-k as a borrowed slice.
-///
-/// After the first call warms `ctx`'s buffers, this performs **zero heap
-/// allocation** per query (the `alloc_guard` integration test enforces it).
-///
-/// `start_nodes` is usually a single node (the NSG navigating node, the HNSW
-/// layer entry, or random nodes for KGraph/FANNG/DPG), but may contain many
-/// entries (Efanna seeds the pool from KD-tree leaves, the random-init
-/// methods fill the whole pool).
-pub fn search_on_graph_into<'a, G: GraphView + ?Sized, S: VectorStore + ?Sized, D: Distance + ?Sized>(
-    graph: &G,
-    store: &S,
-    query: &[f32],
-    start_nodes: &[u32],
-    params: SearchParams,
-    metric: &D,
-    ctx: &'a mut SearchContext,
-) -> &'a [Neighbor] {
-    run_search(graph, store, query, start_nodes, params, metric, ctx, None);
-    &ctx.results
-}
-
-/// Same as [`search_on_graph_into`] but seeds the search from the entry
-/// points previously placed in [`SearchContext::entries`] (e.g. by
-/// [`SearchContext::fill_random_entries`]), avoiding a per-query entry
-/// buffer allocation.
-pub fn search_from_context_entries<'a, G: GraphView + ?Sized, S: VectorStore + ?Sized, D: Distance + ?Sized>(
-    graph: &G,
-    store: &S,
-    query: &[f32],
-    params: SearchParams,
-    metric: &D,
-    ctx: &'a mut SearchContext,
-) -> &'a [Neighbor] {
-    let entries = std::mem::take(&mut ctx.entries);
-    run_search(graph, store, query, &entries, params, metric, ctx, None);
-    ctx.entries = entries;
-    &ctx.results
-}
-
-/// Algorithm 1, allocating convenience: runs on a fresh context and returns
-/// an owned [`SearchResult`]. Prefer [`search_on_graph_into`] in loops.
-pub fn search_on_graph<G: GraphView + ?Sized, S: VectorStore + ?Sized, D: Distance + ?Sized>(
-    graph: &G,
-    store: &S,
-    query: &[f32],
-    start_nodes: &[u32],
-    params: SearchParams,
-    metric: &D,
-) -> SearchResult {
-    let mut ctx = SearchContext::for_points(store.len());
-    run_search(graph, store, query, start_nodes, params, metric, &mut ctx, None);
-    SearchResult {
-        neighbors: std::mem::take(&mut ctx.results),
-        stats: ctx.stats,
-    }
-}
-
-/// The "search-and-collect" routine of Algorithm 2: runs Algorithm 1 and also
-/// returns every scored node whose distance to the query was computed along
-/// the way. These visited nodes are the candidate neighbors the NSG
-/// edge-selection prunes with the MRNG strategy.
-pub fn search_collect<G: GraphView + ?Sized, S: VectorStore + ?Sized, D: Distance + ?Sized>(
-    graph: &G,
-    store: &S,
-    query: &[f32],
-    start_nodes: &[u32],
-    params: SearchParams,
-    metric: &D,
-    ctx: &mut SearchContext,
-) -> (SearchResult, Vec<Neighbor>) {
-    let mut collected = Vec::with_capacity(params.pool_size * 4);
-    run_search(graph, store, query, start_nodes, params, metric, ctx, Some(&mut collected));
-    (
-        SearchResult {
-            neighbors: ctx.results.clone(),
-            stats: ctx.stats,
-        },
-        collected,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::{CompactGraph, DirectedGraph};
+    use crate::neighbor::ids;
     use nsg_vectors::distance::SquaredEuclidean;
     use nsg_vectors::synthetic::uniform;
     use nsg_vectors::VectorSet;
@@ -390,10 +333,25 @@ mod tests {
         (g, base)
     }
 
+    /// Runs Algorithm 1 on a fresh context, returning the answer and stats.
+    fn search(
+        g: &DirectedGraph,
+        base: &VectorSet,
+        query: &[f32],
+        starts: &[u32],
+        params: SearchParams,
+    ) -> SearchResult {
+        let mut ctx = SearchContext::for_points(base.len());
+        let seeds = Seeds::Nodes(starts);
+        let neighbors =
+            search_on_graph_into(g, base, query, seeds, params, &SquaredEuclidean, &mut ctx, None).to_vec();
+        SearchResult { neighbors, stats: ctx.stats }
+    }
+
     #[test]
     fn walks_a_line_to_the_query() {
         let (g, base) = line_graph(50);
-        let res = search_on_graph(&g, &base, &[37.2], &[0], SearchParams::new(8, 3), &SquaredEuclidean);
+        let res = search(&g, &base, &[37.2], &[0], SearchParams::new(8, 3));
         assert_eq!(res.neighbors[0].id, 37);
         assert_eq!(res.neighbors.len(), 3);
         assert!(res.neighbors.windows(2).all(|w| w[0].dist <= w[1].dist));
@@ -403,30 +361,23 @@ mod tests {
     #[test]
     fn pool_size_one_is_pure_greedy_descent() {
         let (g, base) = line_graph(20);
-        let res = search_on_graph(&g, &base, &[10.1], &[0], SearchParams::new(1, 1), &SquaredEuclidean);
-        assert_eq!(res.ids(), vec![10]);
+        let res = search(&g, &base, &[10.1], &[0], SearchParams::new(1, 1));
+        assert_eq!(ids(&res.neighbors), vec![10]);
     }
 
     #[test]
     fn start_node_equal_to_answer_terminates() {
         let (g, base) = line_graph(10);
-        let res = search_on_graph(&g, &base, &[4.0], &[4], SearchParams::new(4, 1), &SquaredEuclidean);
-        assert_eq!(res.ids(), vec![4]);
+        let res = search(&g, &base, &[4.0], &[4], SearchParams::new(4, 1));
+        assert_eq!(ids(&res.neighbors), vec![4]);
         assert_eq!(res.neighbors[0].dist, 0.0);
     }
 
     #[test]
     fn multiple_start_nodes_seed_the_pool() {
         let (g, base) = line_graph(30);
-        let res = search_on_graph(
-            &g,
-            &base,
-            &[29.0],
-            &[0, 28],
-            SearchParams::new(4, 1),
-            &SquaredEuclidean,
-        );
-        assert_eq!(res.ids(), vec![29]);
+        let res = search(&g, &base, &[29.0], &[0, 28], SearchParams::new(4, 1));
+        assert_eq!(ids(&res.neighbors), vec![29]);
         // Starting next to the target requires far fewer hops than the line length.
         assert!(res.stats.hops < 10);
     }
@@ -442,9 +393,9 @@ mod tests {
         g.add_edge(2, 1);
         g.add_edge(3, 4);
         g.add_edge(4, 3);
-        let res = search_on_graph(&g, &base, &[11.0], &[0], SearchParams::new(4, 1), &SquaredEuclidean);
+        let res = search(&g, &base, &[11.0], &[0], SearchParams::new(4, 1));
         // Only the first component is reachable, so the best answer is node 2.
-        assert_eq!(res.ids(), vec![2]);
+        assert_eq!(ids(&res.neighbors), vec![2]);
     }
 
     #[test]
@@ -465,7 +416,7 @@ mod tests {
             }
             g
         };
-        let res = search_on_graph(&g, &base, base.get(17), &[0], SearchParams::new(20, 5), &SquaredEuclidean);
+        let res = search(&g, &base, base.get(17), &[0], SearchParams::new(20, 5));
         assert_eq!(res.stats.distance_computations, res.stats.visited);
         assert!(res.stats.visited <= 500);
         assert!(!res.neighbors.is_empty());
@@ -477,21 +428,12 @@ mod tests {
         let mut ctx = SearchContext::for_points(base.len());
         let params = SearchParams::new(8, 3);
         let fresh: Vec<Vec<Neighbor>> = (0..10)
-            .map(|q| {
-                search_on_graph(&g, &base, &[q as f32 * 5.0 + 0.2], &[0], params, &SquaredEuclidean)
-                    .neighbors
-            })
+            .map(|q| search(&g, &base, &[q as f32 * 5.0 + 0.2], &[0], params).neighbors)
             .collect();
         for (q, expect) in fresh.iter().enumerate() {
-            let got = search_on_graph_into(
-                &g,
-                &base,
-                &[q as f32 * 5.0 + 0.2],
-                &[0],
-                params,
-                &SquaredEuclidean,
-                &mut ctx,
-            );
+            let query = [q as f32 * 5.0 + 0.2];
+            let seeds = Seeds::Nodes(&[0]);
+            let got = search_on_graph_into(&g, &base, &query, seeds, params, &SquaredEuclidean, &mut ctx, None);
             assert_eq!(got, expect.as_slice(), "query {q} differs under context reuse");
         }
     }
@@ -503,10 +445,10 @@ mod tests {
         let mut ctx = SearchContext::for_points(base.len());
         ctx.entries.clear();
         ctx.entries.extend([0u32, 35]);
+        let seeds = Seeds::ContextEntries;
         let via_ctx =
-            search_from_context_entries(&g, &base, &[33.0], params, &SquaredEuclidean, &mut ctx).to_vec();
-        let explicit =
-            search_on_graph(&g, &base, &[33.0], &[0, 35], params, &SquaredEuclidean).neighbors;
+            search_on_graph_into(&g, &base, &[33.0], seeds, params, &SquaredEuclidean, &mut ctx, None).to_vec();
+        let explicit = search(&g, &base, &[33.0], &[0, 35], params).neighbors;
         assert_eq!(via_ctx, explicit);
         // The entry scratch survives the call for the next query.
         assert_eq!(ctx.entries, vec![0, 35]);
@@ -516,23 +458,45 @@ mod tests {
     fn search_collect_returns_every_evaluated_node() {
         let (g, base) = line_graph(40);
         let mut ctx = SearchContext::for_points(base.len());
-        let (res, collected) = search_collect(
+        let mut collected = Vec::new();
+        let answer = search_on_graph_into(
             &g,
             &base,
             &[25.0],
-            &[0],
+            Seeds::Nodes(&[0]),
             SearchParams::new(6, 2),
             &SquaredEuclidean,
             &mut ctx,
-        );
-        assert_eq!(collected.len() as u64, res.stats.visited);
+            Some(&mut collected),
+        )[0];
+        assert_eq!(collected.len() as u64, ctx.stats.visited);
         // The answer must be among the collected nodes.
-        assert!(collected.iter().any(|n| n.id == res.neighbors[0].id));
+        assert!(collected.iter().any(|n| n.id == answer.id));
         // No duplicates.
         let mut ids: Vec<u32> = collected.iter().map(|n| n.id).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), collected.len());
+    }
+
+    #[test]
+    fn wrong_length_query_is_answered_with_nothing() {
+        let (g, base) = line_graph(10);
+        let mut ctx = SearchContext::for_points(base.len());
+        ctx.entries.extend([0u32, 5]);
+        let mut collected = Vec::new();
+        for query in [&[][..], &[3.0, 3.0][..], &[1.0; 64][..]] {
+            for seeds in [Seeds::Nodes(&[0]), Seeds::ContextEntries] {
+                let params = SearchParams::new(4, 2);
+                let got = search_on_graph_into(
+                    &g, &base, query, seeds, params, &SquaredEuclidean, &mut ctx, Some(&mut collected),
+                );
+                assert!(got.is_empty(), "query of length {} was answered", query.len());
+                assert_eq!(ctx.stats, SearchStats::default());
+            }
+        }
+        assert!(collected.is_empty());
+        assert_eq!(ctx.entries, vec![0, 5]);
     }
 
     #[test]
@@ -577,15 +541,8 @@ mod tests {
     #[test]
     fn out_of_range_start_nodes_are_ignored() {
         let (g, base) = line_graph(5);
-        let res = search_on_graph(
-            &g,
-            &base,
-            &[2.0],
-            &[99, 0],
-            SearchParams::new(3, 1),
-            &SquaredEuclidean,
-        );
-        assert_eq!(res.ids(), vec![2]);
+        let res = search(&g, &base, &[2.0], &[99, 0], SearchParams::new(3, 1));
+        assert_eq!(ids(&res.neighbors), vec![2]);
     }
 
     #[test]
@@ -609,14 +566,14 @@ mod tests {
         let params = SearchParams::new(24, 8);
         let mut ctx_a = SearchContext::for_points(base.len());
         let mut ctx_b = SearchContext::for_points(base.len());
+        let seeds = Seeds::Nodes(&[0]);
         for q in (0..800).step_by(37) {
-            let a =
-                search_on_graph_into(&nested, &base, base.get(q), &[0], params, &SquaredEuclidean, &mut ctx_a)
-                    .to_vec();
+            let query = base.get(q);
+            let a = search_on_graph_into(&nested, &base, query, seeds, params, &SquaredEuclidean, &mut ctx_a, None)
+                .to_vec();
             let stats_a = ctx_a.stats;
-            let b =
-                search_on_graph_into(&frozen, &base, base.get(q), &[0], params, &SquaredEuclidean, &mut ctx_b)
-                    .to_vec();
+            let b = search_on_graph_into(&frozen, &base, query, seeds, params, &SquaredEuclidean, &mut ctx_b, None)
+                .to_vec();
             assert_eq!(a, b, "query {q} differs between nested and CSR adjacency");
             assert_eq!(stats_a, ctx_b.stats, "query {q} cost differs between layouts");
         }
@@ -652,10 +609,11 @@ mod tests {
                 &frozen,
                 &base,
                 &query,
-                &[0],
+                Seeds::Nodes(&[0]),
                 SearchParams::new(40, k),
                 &SquaredEuclidean,
                 &mut ctx_flat,
+                None,
             )
             .to_vec();
             // Quantized traversal keeps 4x candidates, exact rerank truncates.
@@ -663,10 +621,11 @@ mod tests {
                 &frozen,
                 &store,
                 &query,
-                &[0],
+                Seeds::Nodes(&[0]),
                 SearchParams::new(40, 4 * k),
                 &SquaredEuclidean,
                 &mut ctx_q,
+                None,
             );
             let before = ctx_q.stats.distance_computations;
             exact_rerank(&mut ctx_q, &base, &SquaredEuclidean, &query, k);

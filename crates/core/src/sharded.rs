@@ -18,7 +18,7 @@ use crate::context::SearchContext;
 use crate::index::{AnnIndex, SearchRequest};
 use crate::neighbor::Neighbor;
 use crate::nsg::{NsgIndex, NsgParams};
-use crate::search::{exact_rerank, search_on_graph_into, SearchStats};
+use crate::search::{exact_rerank, search_on_graph_into, SearchStats, Seeds};
 use nsg_vectors::distance::Distance;
 use nsg_vectors::quant::Sq8VectorSet;
 use nsg_vectors::sample::random_partition;
@@ -130,10 +130,11 @@ impl<D: Distance + Sync + Clone, S: VectorStore> AnnIndex for ShardedNsg<D, S> {
                 shard.graph(),
                 shard.store().as_ref(),
                 query,
-                &[shard.navigating_node()],
+                Seeds::Nodes(&[shard.navigating_node()]),
                 params,
                 shard.metric(), // lint:allow(dyn-distance): NsgIndex accessor returning the concrete DistanceKind, not a trait object
                 ctx,
+                None,
             );
             // Two-phase: rescore this shard's candidates against its retained
             // rows (in place on `ctx.results` — `ctx.scored` keeps the global

@@ -184,35 +184,57 @@ mod tests {
 
     #[test]
     fn concurrent_loads_never_observe_a_torn_pair() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::Barrier;
         // Generation g always serves Tagged(g): any mismatch between the
         // snapshot's generation and the id its index answers is a tear.
+        // The writer keeps swapping until every reader has made at least
+        // MIN_CHECKS loads, so the readers always race real swaps.
+        const READERS: usize = 4;
+        const MIN_SWAPS: u32 = 50;
+        const MIN_CHECKS: u64 = 200;
         let handle = Arc::new(IndexHandle::new(Arc::new(Tagged(0))));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let handle = Arc::clone(&handle);
-                let stop = Arc::clone(&stop);
+        let stop = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(Barrier::new(READERS + 1));
+        let checks: Arc<Vec<AtomicU64>> =
+            Arc::new((0..READERS).map(|_| AtomicU64::new(0)).collect());
+        let checked = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let readers: Vec<_> = (0..READERS)
+            .map(|r| {
+                let (handle, stop) = (Arc::clone(&handle), Arc::clone(&stop));
+                let (start, checks) = (Arc::clone(&start), Arc::clone(&checks));
                 std::thread::spawn(move || {
-                    let mut checks = 0u64;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    start.wait();
+                    while !stop.load(Ordering::Relaxed) {
                         let snap = handle.load();
                         let res = snap.index.search(&[0.0], &SearchRequest::new(1));
                         assert_eq!(
                             res[0].id as u64, snap.generation,
                             "torn snapshot: generation/index mismatch"
                         );
-                        checks += 1;
+                        checks[r].fetch_add(1, Ordering::Relaxed);
                     }
-                    checks
                 })
             })
             .collect();
-        for g in 1..=50u32 {
-            handle.swap(Arc::new(Tagged(g)));
+        start.wait();
+        let mut swaps = 0u32;
+        // A reader that panicked (a tear) stops counting; stop swapping then
+        // so the join below reports its failure instead of hanging.
+        while swaps < MIN_SWAPS
+            || (checks.iter().any(|c| checked(c) < MIN_CHECKS)
+                && !readers.iter().any(|r| r.is_finished()))
+        {
+            swaps += 1;
+            handle.swap(Arc::new(Tagged(swaps)));
         }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let total: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            r.join().unwrap();
+        }
+        let total: u64 = checks.iter().map(checked).sum();
         assert!(total > 0);
-        assert_eq!(handle.generation(), 50);
+        assert!(checks.iter().all(|c| checked(c) >= MIN_CHECKS));
+        assert_eq!(handle.generation(), u64::from(swaps));
     }
 }

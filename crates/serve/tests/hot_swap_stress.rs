@@ -17,7 +17,7 @@ use nsg_vectors::distance::SquaredEuclidean;
 use nsg_vectors::synthetic::uniform;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 const READERS: usize = 4;
@@ -55,12 +55,17 @@ fn hot_swap_under_concurrent_readers_never_tears() {
     // filled by the swappers, read only after every thread joined.
     let sizes_by_generation = Arc::new(Mutex::new(HashMap::from([(0u64, SIZES[0])])));
     let writers_done = Arc::new(AtomicBool::new(false));
+    // Swappers start only once every reader has been answered by
+    // generation 0, so the readers never miss the swaps.
+    let start = Arc::new(Barrier::new(READERS + SWAPPERS));
 
     let swappers: Vec<_> = (0..SWAPPERS)
         .map(|w| {
             let server = Arc::clone(&server);
             let sizes_by_generation = Arc::clone(&sizes_by_generation);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
                 for s in 0..SWAPS_PER_WRITER {
                     let size = SIZES[(w + s * SWAPPERS + 1) % SIZES.len()];
                     let fresh = build_index(size, (w * 100 + s) as u64 + 1);
@@ -78,15 +83,18 @@ fn hot_swap_under_concurrent_readers_never_tears() {
         .map(|r| {
             let server = Arc::clone(&server);
             let writers_done = Arc::clone(&writers_done);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let slot = Arc::new(ResponseSlot::new());
                 let request = SearchRequest::new(5).with_effort(30);
                 let queries = uniform(QUERIES_PER_READER, DIM, 9000 + r as u64);
                 let mut served: Vec<(u64, u32)> = Vec::new();
                 let mut q = 0;
-                // Keep querying at least until every writer finished, so
-                // swaps genuinely happen under read traffic.
-                while q < QUERIES_PER_READER || !writers_done.load(Ordering::Relaxed) {
+                // Keep querying until a query issued after every writer
+                // finished, so swaps genuinely happen under read traffic and
+                // the final generation is observed.
+                loop {
+                    let after_writers = writers_done.load(Ordering::Relaxed);
                     let query = queries.get(q % QUERIES_PER_READER);
                     server
                         .submit(&slot, query, &request, None)
@@ -103,6 +111,12 @@ fn hot_swap_under_concurrent_readers_never_tears() {
                     let max_id = neighbors.iter().map(|n| n.id).max().unwrap();
                     served.push((response.generation(), max_id));
                     q += 1;
+                    if q == 1 {
+                        start.wait();
+                    }
+                    if q >= QUERIES_PER_READER && after_writers {
+                        break;
+                    }
                 }
                 served
             })

@@ -26,7 +26,7 @@ use nsg_serve::{MutationPolicy, ResponseSlot, Server, ServerConfig};
 use nsg_vectors::distance::SquaredEuclidean;
 use nsg_vectors::synthetic::uniform;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const BASE: usize = 300;
 const DIM: usize = 8;
@@ -61,13 +61,18 @@ fn readers_see_consistent_results_while_writers_mutate_and_compactions_fire() {
     let stop_readers = Arc::new(AtomicBool::new(false));
     let applied_inserts = Arc::new(AtomicUsize::new(0));
     let applied_deletes = Arc::new(AtomicUsize::new(0));
+    // Writers start only once every reader has been answered once, so the
+    // mutations and compactions always run under live reads.
+    let start = Arc::new(Barrier::new(READERS + WRITERS));
 
     let writers: Vec<_> = (0..WRITERS)
         .map(|w| {
             let server = Arc::clone(&server);
             let applied_inserts = Arc::clone(&applied_inserts);
             let applied_deletes = Arc::clone(&applied_deletes);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
+                start.wait();
                 let slot = Arc::new(ResponseSlot::new());
                 let mut own_ids: Vec<u32> = Vec::new();
                 let mut vector = [0.0f32; DIM];
@@ -104,6 +109,7 @@ fn readers_see_consistent_results_while_writers_mutate_and_compactions_fire() {
         .map(|r| {
             let server = Arc::clone(&server);
             let stop_readers = Arc::clone(&stop_readers);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let slot = Arc::new(ResponseSlot::new());
                 let request = SearchRequest::new(K).with_effort(60);
@@ -127,6 +133,9 @@ fn readers_see_consistent_results_while_writers_mutate_and_compactions_fire() {
                     ids.dedup();
                     assert_eq!(ids.len(), K, "duplicate ids in one response");
                     served += 1;
+                    if served == 1 {
+                        start.wait();
+                    }
                 }
                 served
             })

@@ -15,8 +15,9 @@ use nsg_serve::{ResponseSlot, Server, ServerConfig};
 use nsg_vectors::distance::SquaredEuclidean;
 use nsg_vectors::synthetic::{base_and_queries, SyntheticKind};
 use nsg_vectors::VectorSet;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn params(seed: u64) -> NsgParams {
@@ -26,6 +27,17 @@ fn params(seed: u64) -> NsgParams {
         knn: NnDescentParams { k: 14, ..Default::default() },
         reverse_insert: true,
         seed,
+    }
+}
+
+/// Blocks until the reader has answered `n` more queries, so each swap lands
+/// between live queries by construction rather than by sleeping. Returns
+/// early if the reader exited, so its failure surfaces through `join`
+/// instead of hanging the test.
+fn await_reader_queries(served: &AtomicU64, reader: &JoinHandle<()>, n: u64) {
+    let target = served.load(Ordering::Relaxed) + n;
+    while served.load(Ordering::Relaxed) < target && !reader.is_finished() {
+        std::thread::yield_now();
     }
 }
 
@@ -52,15 +64,16 @@ fn quantized_snapshot_serves_two_phase_requests_behind_live_traffic() {
     // Reader thread hammers the server across the swaps; every response must
     // be sorted and in range for the (fixed-size) base.
     let stop = Arc::new(AtomicBool::new(false));
+    let served = Arc::new(AtomicU64::new(0));
     let reader = {
         let server = Arc::clone(&server);
         let stop = Arc::clone(&stop);
+        let served = Arc::clone(&served);
         let queries: VectorSet = queries.clone();
         std::thread::spawn(move || {
             let slot = Arc::new(ResponseSlot::new());
             let request = SearchRequest::new(5).with_effort(60).with_rerank(3);
             let mut q = 0usize;
-            let mut served = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 server
                     .submit(&slot, queries.get(q % queries.len()), &request, None)
@@ -73,23 +86,23 @@ fn quantized_snapshot_serves_two_phase_requests_behind_live_traffic() {
                 assert!(neighbors.windows(2).all(|w| w[0].dist <= w[1].dist));
                 assert!(neighbors.iter().all(|nb| (nb.id as usize) < 900));
                 q += 1;
-                served += 1;
+                served.fetch_add(1, Ordering::Relaxed);
             }
-            served
         })
     };
 
     // Swap flat → quantized → flat → quantized under the reader's traffic.
     for round in 0..2 {
-        std::thread::sleep(Duration::from_millis(30));
+        await_reader_queries(&served, &reader, 5);
         server.handle().swap(Arc::clone(&quantized) as Arc<dyn AnnIndex>);
-        std::thread::sleep(Duration::from_millis(30));
+        await_reader_queries(&served, &reader, 5);
         if round == 0 {
             server.handle().swap(Arc::clone(&flat) as Arc<dyn AnnIndex>);
         }
     }
     stop.store(true, Ordering::Relaxed);
-    let served = reader.join().unwrap();
+    reader.join().unwrap();
+    let served = served.load(Ordering::Relaxed);
     assert!(served > 0, "the reader never got a query through");
     assert_eq!(server.handle().generation(), 3, "three swaps must be visible");
 

@@ -17,8 +17,9 @@ use nsg_vectors::distance::SquaredEuclidean;
 use nsg_vectors::synthetic::{base_and_queries, SyntheticKind};
 use nsg_vectors::VectorSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 const N: usize = 700;
@@ -37,6 +38,17 @@ fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nsg_snap_swap_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Blocks until the reader has answered `n` more queries, so each swap lands
+/// between live queries by construction rather than by sleeping. Returns
+/// early if the reader exited, so its failure surfaces through `join`
+/// instead of hanging the test.
+fn await_reader_queries(served: &AtomicU64, reader: &JoinHandle<()>, n: u64) {
+    let target = served.load(Ordering::Relaxed) + n;
+    while served.load(Ordering::Relaxed) < target && !reader.is_finished() {
+        std::thread::yield_now();
+    }
 }
 
 #[test]
@@ -67,15 +79,16 @@ fn swap_snapshot_under_traffic_serves_identical_answers() {
     ));
 
     let stop = Arc::new(AtomicBool::new(false));
+    let served = Arc::new(AtomicU64::new(0));
     let reader = {
         let server = Arc::clone(&server);
         let stop = Arc::clone(&stop);
+        let served = Arc::clone(&served);
         let queries: VectorSet = queries.clone();
         std::thread::spawn(move || {
             let slot = Arc::new(ResponseSlot::new());
             let request = SearchRequest::new(5).with_effort(60);
             let mut q = 0usize;
-            let mut served = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 server
                     .submit(&slot, queries.get(q % queries.len()), &request, None)
@@ -88,20 +101,20 @@ fn swap_snapshot_under_traffic_serves_identical_answers() {
                 assert!(neighbors.windows(2).all(|w| w[0].dist <= w[1].dist));
                 assert!(neighbors.iter().all(|nb| (nb.id as usize) < N));
                 q += 1;
-                served += 1;
+                served.fetch_add(1, Ordering::Relaxed);
             }
-            served
         })
     };
 
     // Swap mapped-flat then mapped-quantized in, both under the reader.
-    std::thread::sleep(Duration::from_millis(30));
+    await_reader_queries(&served, &reader, 5);
     server.handle().swap_snapshot(&flat_path).expect("flat snapshot must swap in");
-    std::thread::sleep(Duration::from_millis(30));
+    await_reader_queries(&served, &reader, 5);
     server.handle().swap_snapshot_verified(&quant_path).expect("quantized snapshot must swap in");
-    std::thread::sleep(Duration::from_millis(30));
+    await_reader_queries(&served, &reader, 5);
     stop.store(true, Ordering::Relaxed);
-    let served = reader.join().unwrap();
+    reader.join().unwrap();
+    let served = served.load(Ordering::Relaxed);
     assert!(served > 0, "the reader never got a query through");
     assert_eq!(server.handle().generation(), 2);
 

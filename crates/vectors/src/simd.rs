@@ -108,6 +108,11 @@ impl fmt::Display for SimdLevel {
 /// The five hot-shape kernels for one instruction set, as plain function
 /// pointers so the per-candidate loop is a direct call with no trait object
 /// and no feature branch.
+///
+/// # Panics
+/// The f32 and SQ8 entries panic when their slice arguments differ in
+/// length (one check per call, before any load), so no safe call can read
+/// out of bounds.
 #[derive(Clone, Copy)]
 pub struct KernelTable {
     /// Instruction set the entries are compiled for.
@@ -144,6 +149,16 @@ fn reduce(acc: &[f32]) -> f32 {
         sum += x;
     }
     sum
+}
+
+/// The length check every f32 and SQ8 kernel makes once per call, before its
+/// lane loop: inputs of unequal length panic here instead of letting the
+/// unchecked vector loads read past the shorter slice (or the scalar tail
+/// silently truncate the sum).
+#[inline(always)]
+#[track_caller]
+fn same_len(a: usize, b: usize) {
+    assert!(a == b, "kernel inputs differ in length ({a} vs {b})");
 }
 
 /// Shared sequential tail of the squared-l2 kernels.
@@ -201,11 +216,13 @@ fn adc_tail(mut sum: f32, tables: &[f32], width: usize, codes: &[u8], start: usi
 /// auto-vectorizes these on any target; the explicit ISA modules below beat
 /// them by using wider registers and packed `u8 → f32` conversion.
 mod scalar {
-    use super::{adc_tail, dot_tail, l2_tail, reduce, sq8_dot_tail, sq8_l2_tail, ADC_LANES, LANES};
+    use super::{
+        adc_tail, dot_tail, l2_tail, reduce, same_len, sq8_dot_tail, sq8_l2_tail, ADC_LANES, LANES,
+    };
 
     // lint:hot-path
     pub fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
+        same_len(a.len(), b.len());
         let split = (a.len() / LANES) * LANES;
         let mut acc = [0.0f32; LANES];
         for (ca, cb) in a[..split].chunks_exact(LANES).zip(b[..split].chunks_exact(LANES)) {
@@ -219,7 +236,7 @@ mod scalar {
 
     // lint:hot-path
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
+        same_len(a.len(), b.len());
         let split = (a.len() / LANES) * LANES;
         let mut acc = [0.0f32; LANES];
         for (ca, cb) in a[..split].chunks_exact(LANES).zip(b[..split].chunks_exact(LANES)) {
@@ -232,8 +249,8 @@ mod scalar {
 
     // lint:hot-path
     pub fn sq8_asym_l2(t: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
-        debug_assert_eq!(t.len(), codes.len());
-        debug_assert_eq!(t.len(), scale.len());
+        same_len(t.len(), codes.len());
+        same_len(t.len(), scale.len());
         let split = (t.len() / LANES) * LANES;
         let mut acc = [0.0f32; LANES];
         for ((ct, cs), cc) in t[..split]
@@ -257,7 +274,7 @@ mod scalar {
 
     // lint:hot-path
     pub fn sq8_asym_dot(w: &[f32], codes: &[u8]) -> f32 {
-        debug_assert_eq!(w.len(), codes.len());
+        same_len(w.len(), codes.len());
         let split = (w.len() / LANES) * LANES;
         let mut acc = [0.0f32; LANES];
         for (cw, cc) in w[..split].chunks_exact(LANES).zip(codes[..split].chunks_exact(LANES)) {
@@ -299,7 +316,7 @@ mod scalar {
 
 #[cfg(target_arch = "x86_64")]
 mod sse2 {
-    use super::{dot_tail, l2_tail, reduce, sq8_dot_tail, sq8_l2_tail, LANES};
+    use super::{dot_tail, l2_tail, reduce, same_len, sq8_dot_tail, sq8_l2_tail, LANES};
     use core::arch::x86_64::{
         __m128, __m128i, _mm_add_ps, _mm_cvtepi32_ps, _mm_loadu_ps, _mm_loadu_si128, _mm_mul_ps,
         _mm_setzero_ps, _mm_setzero_si128, _mm_storeu_ps, _mm_sub_ps, _mm_unpackhi_epi16,
@@ -344,7 +361,7 @@ mod sse2 {
     // lint:hot-path
     #[target_feature(enable = "sse2")]
     pub fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
+        same_len(a.len(), b.len());
         let split = (a.len() / LANES) * LANES;
         let mut acc = [_mm_setzero_ps(); 4];
         let (pa, pb) = (a.as_ptr(), b.as_ptr());
@@ -366,7 +383,7 @@ mod sse2 {
     // lint:hot-path
     #[target_feature(enable = "sse2")]
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
+        same_len(a.len(), b.len());
         let split = (a.len() / LANES) * LANES;
         let mut acc = [_mm_setzero_ps(); 4];
         let (pa, pb) = (a.as_ptr(), b.as_ptr());
@@ -387,8 +404,8 @@ mod sse2 {
     // lint:hot-path
     #[target_feature(enable = "sse2")]
     pub fn sq8_asym_l2(t: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
-        debug_assert_eq!(t.len(), codes.len());
-        debug_assert_eq!(t.len(), scale.len());
+        same_len(t.len(), codes.len());
+        same_len(t.len(), scale.len());
         let split = (t.len() / LANES) * LANES;
         let mut acc = [_mm_setzero_ps(); 4];
         let (pt, ps, pc) = (t.as_ptr(), scale.as_ptr(), codes.as_ptr());
@@ -413,7 +430,7 @@ mod sse2 {
     // lint:hot-path
     #[target_feature(enable = "sse2")]
     pub fn sq8_asym_dot(w: &[f32], codes: &[u8]) -> f32 {
-        debug_assert_eq!(w.len(), codes.len());
+        same_len(w.len(), codes.len());
         let split = (w.len() / LANES) * LANES;
         let mut acc = [_mm_setzero_ps(); 4];
         let (pw, pc) = (w.as_ptr(), codes.as_ptr());
@@ -479,7 +496,9 @@ mod sse2_entry {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{adc_tail, dot_tail, l2_tail, reduce, sq8_dot_tail, sq8_l2_tail, ADC_LANES, LANES};
+    use super::{
+        adc_tail, dot_tail, l2_tail, reduce, same_len, sq8_dot_tail, sq8_l2_tail, ADC_LANES, LANES,
+    };
     use core::arch::x86_64::{
         __m128i, __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_cvtepu8_epi32,
         _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_epi32, _mm256_setr_epi32,
@@ -507,7 +526,7 @@ mod avx2 {
     /// runtime detection).
     #[target_feature(enable = "avx2")]
     pub unsafe fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
+        same_len(a.len(), b.len());
         let split = (a.len() / LANES) * LANES;
         let mut lo = _mm256_setzero_ps();
         let mut hi = _mm256_setzero_ps();
@@ -540,7 +559,7 @@ mod avx2 {
     /// runtime detection).
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
+        same_len(a.len(), b.len());
         let split = (a.len() / LANES) * LANES;
         let mut lo = _mm256_setzero_ps();
         let mut hi = _mm256_setzero_ps();
@@ -572,8 +591,8 @@ mod avx2 {
     /// runtime detection).
     #[target_feature(enable = "avx2")]
     pub unsafe fn sq8_asym_l2(t: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
-        debug_assert_eq!(t.len(), codes.len());
-        debug_assert_eq!(t.len(), scale.len());
+        same_len(t.len(), codes.len());
+        same_len(t.len(), scale.len());
         let split = (t.len() / LANES) * LANES;
         let mut lo = _mm256_setzero_ps();
         let mut hi = _mm256_setzero_ps();
@@ -611,7 +630,7 @@ mod avx2 {
     /// runtime detection).
     #[target_feature(enable = "avx2")]
     pub unsafe fn sq8_asym_dot(w: &[f32], codes: &[u8]) -> f32 {
-        debug_assert_eq!(w.len(), codes.len());
+        same_len(w.len(), codes.len());
         let split = (w.len() / LANES) * LANES;
         let mut lo = _mm256_setzero_ps();
         let mut hi = _mm256_setzero_ps();
@@ -731,7 +750,7 @@ mod avx2_entry {
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::{dot_tail, l2_tail, reduce, sq8_dot_tail, sq8_l2_tail, LANES};
+    use super::{dot_tail, l2_tail, reduce, same_len, sq8_dot_tail, sq8_l2_tail, LANES};
     use core::arch::aarch64::{
         float32x4_t, vaddq_f32, vcvtq_f32_u32, vdupq_n_f32, vget_high_u16, vget_high_u8,
         vget_low_u16, vget_low_u8, vld1q_f32, vld1q_u8, vmovl_u16, vmovl_u8, vmulq_f32, vst1q_f32,
@@ -775,7 +794,7 @@ mod neon {
     // lint:hot-path
     #[target_feature(enable = "neon")]
     pub fn squared_l2(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
+        same_len(a.len(), b.len());
         let split = (a.len() / LANES) * LANES;
         let mut acc = [vdupq_n_f32(0.0); 4];
         let (pa, pb) = (a.as_ptr(), b.as_ptr());
@@ -797,7 +816,7 @@ mod neon {
     // lint:hot-path
     #[target_feature(enable = "neon")]
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-        debug_assert_eq!(a.len(), b.len());
+        same_len(a.len(), b.len());
         let split = (a.len() / LANES) * LANES;
         let mut acc = [vdupq_n_f32(0.0); 4];
         let (pa, pb) = (a.as_ptr(), b.as_ptr());
@@ -817,8 +836,8 @@ mod neon {
     // lint:hot-path
     #[target_feature(enable = "neon")]
     pub fn sq8_asym_l2(t: &[f32], scale: &[f32], codes: &[u8]) -> f32 {
-        debug_assert_eq!(t.len(), codes.len());
-        debug_assert_eq!(t.len(), scale.len());
+        same_len(t.len(), codes.len());
+        same_len(t.len(), scale.len());
         let split = (t.len() / LANES) * LANES;
         let mut acc = [vdupq_n_f32(0.0); 4];
         let (pt, ps, pc) = (t.as_ptr(), scale.as_ptr(), codes.as_ptr());
@@ -842,7 +861,7 @@ mod neon {
     // lint:hot-path
     #[target_feature(enable = "neon")]
     pub fn sq8_asym_dot(w: &[f32], codes: &[u8]) -> f32 {
-        debug_assert_eq!(w.len(), codes.len());
+        same_len(w.len(), codes.len());
         let split = (w.len() / LANES) * LANES;
         let mut acc = [vdupq_n_f32(0.0); 4];
         let (pw, pc) = (w.as_ptr(), codes.as_ptr());

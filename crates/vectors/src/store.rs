@@ -213,9 +213,8 @@ impl VectorStore for VectorSet {
     /// Evaluates through the kernel table cached at preparation time — the
     /// same math `metric.distance(query, row)` computes, minus the one
     /// `OnceLock` read per candidate the free-function kernels would pay.
-    /// (Wrapper metrics' `distance` overrides are not consulted on this
-    /// path, matching the quantized store; evaluation counting on the store
-    /// path goes through `SearchContext` stats, not `CountingDistance`.)
+    /// (Only `metric.kind()` is consulted on this path, matching the
+    /// quantized store; evaluations are counted in `SearchContext` stats.)
     #[inline]
     // lint:hot-path
     fn dist_to<D: Distance + ?Sized>(&self, metric: &D, scratch: &QueryScratch, id: usize) -> f32 {

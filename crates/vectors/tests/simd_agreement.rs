@@ -8,10 +8,14 @@
 //! `0..200`, covering the empty input, single element, sub-lane tails, and
 //! multi-block bodies.
 //!
+//! Inputs of unequal length must panic on every table (one length check
+//! per call, before any vector load) rather than read out of bounds.
+//!
 //! The `NSG_SIMD=scalar` override is asserted separately: when CI sets that
 //! variable, `kernels()` must resolve to the scalar table.
 
-use nsg_vectors::simd::{self, scalar_table, KernelTable};
+use nsg_vectors::distance::{dot, squared_l2};
+use nsg_vectors::simd::{self, scalar_table, F32Kernel, KernelTable};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -123,6 +127,99 @@ proptest! {
                 t.level, got, want, code.len()
             );
         }
+    }
+}
+
+/// Two f32 vectors of lengths `len + 17·d` with `d ∈ {0, 1, 2}` drawn per
+/// input: equal in a third of the draws, otherwise differing by one or two
+/// lane chunks plus a tail, in either direction.
+fn f32_any_pair() -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
+    (0usize..100, 0usize..3, 0usize..3).prop_flat_map(|(len, da, db)| {
+        (
+            vec(-100.0f32..100.0, len + 17 * da),
+            vec(-100.0f32..100.0, len + 17 * db),
+        )
+    })
+}
+
+/// A prepared SQ8 query, scales and codes, skewed like [`f32_any_pair`].
+fn sq8_any_triple() -> impl Strategy<Value = (Vec<f32>, Vec<f32>, Vec<u8>)> {
+    (0usize..100, 0usize..3, 0usize..3).prop_flat_map(|(len, ds, dc)| {
+        (
+            vec(-100.0f32..100.0, len),
+            vec(0.001f32..2.0, len + 17 * ds),
+            vec(0u8..255, len + 17 * dc),
+        )
+    })
+}
+
+/// `Some(result)` if `f` returned, `None` if it panicked.
+fn result_or_panic(f: impl FnOnce() -> f32) -> Option<f32> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).ok()
+}
+
+/// Every enabled table, plus the one `NSG_SIMD` resolved (the CI step runs
+/// this suite under both `scalar` and `auto`).
+fn tables_under_test() -> Vec<&'static KernelTable> {
+    let mut tables = simd::enabled_tables();
+    tables.push(simd::kernels());
+    tables
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Arbitrary length pairs: equal lengths give a result, unequal lengths
+    /// a panic — never a read past the shorter slice or a truncated sum.
+    #[test]
+    fn f32_kernels_reject_mismatched_lengths(pair in f32_any_pair()) {
+        let (a, b) = pair;
+        let equal = a.len() == b.len();
+        for t in tables_under_test() {
+            for (name, kernel) in [("squared_l2", t.squared_l2), ("dot", t.dot)] {
+                prop_assert_eq!(
+                    result_or_panic(|| kernel(&a, &b)).is_some(), equal,
+                    "{} {} on lengths {} and {}", t.level, name, a.len(), b.len()
+                );
+            }
+        }
+        let free_fns: [(&str, F32Kernel); 2] = [("squared_l2", squared_l2), ("dot", dot)];
+        for (name, f) in free_fns {
+            prop_assert_eq!(
+                result_or_panic(|| f(&a, &b)).is_some(), equal,
+                "distance::{} on lengths {} and {}", name, a.len(), b.len()
+            );
+        }
+    }
+
+    #[test]
+    fn sq8_kernels_reject_mismatched_lengths(triple in sq8_any_triple()) {
+        let (prepared, scale, code) = triple;
+        let l2_ok = prepared.len() == scale.len() && prepared.len() == code.len();
+        let dot_ok = prepared.len() == code.len();
+        for t in tables_under_test() {
+            prop_assert_eq!(
+                result_or_panic(|| (t.sq8_asym_l2)(&prepared, &scale, &code)).is_some(), l2_ok,
+                "{} sq8_asym_l2 on lengths {}/{}/{}", t.level, prepared.len(), scale.len(), code.len()
+            );
+            prop_assert_eq!(
+                result_or_panic(|| (t.sq8_asym_dot)(&prepared, &code)).is_some(), dot_ok,
+                "{} sq8_asym_dot on lengths {}/{}", t.level, prepared.len(), code.len()
+            );
+        }
+    }
+}
+
+/// The out-of-bounds shape that used to reach the SIMD loads: a row far
+/// longer than the query. Every table must panic before its first load.
+#[test]
+fn long_row_against_short_query_panics_on_every_table() {
+    let long = vec![1.0f32; 1 << 20];
+    let short = [0.0f32; 16];
+    for t in tables_under_test() {
+        let level = t.level;
+        assert!(result_or_panic(|| (t.squared_l2)(&long, &short)).is_none(), "{level}");
+        assert!(result_or_panic(|| (t.dot)(&short, &long)).is_none(), "{level}");
     }
 }
 

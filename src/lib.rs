@@ -90,7 +90,7 @@ pub mod prelude {
     pub use nsg_core::index::{AnnIndex, SearchQuality, SearchRequest};
     pub use nsg_core::neighbor::{self, Neighbor};
     pub use nsg_core::nsg::{NsgIndex, NsgParams, QuantizedNsg};
-    pub use nsg_core::search::{search_on_graph, search_on_graph_into, SearchParams, SearchStats};
+    pub use nsg_core::search::{search_on_graph_into, SearchParams, SearchStats, Seeds};
     pub use nsg_core::sharded::ShardedNsg;
     pub use nsg_knn::{build_exact_knn_graph, build_nn_descent, NnDescentParams};
     pub use nsg_obs::{Counter, Gauge, QueryTrace, Registry, TraceStage};

@@ -385,10 +385,11 @@ fn raw_search_on_graph_into_is_allocation_free_after_warmup() {
             index.graph(),
             &base,
             queries.get(q),
-            &[index.navigating_node()],
+            Seeds::Nodes(&[index.navigating_node()]),
             params,
             &SquaredEuclidean,
             &mut ctx,
+            None,
         );
     }
     let allocations = count_allocations(|| {
@@ -397,10 +398,11 @@ fn raw_search_on_graph_into_is_allocation_free_after_warmup() {
                 index.graph(),
                 &base,
                 queries.get(q),
-                &[index.navigating_node()],
+                Seeds::Nodes(&[index.navigating_node()]),
                 params,
                 &SquaredEuclidean,
                 &mut ctx,
+                None,
             );
             assert_eq!(hits.len(), 10);
         }
